@@ -10,6 +10,7 @@ import (
 	"shahin/internal/dataset"
 	"shahin/internal/explain/exact"
 	"shahin/internal/explain/lime"
+	"shahin/internal/explain/shap"
 	"shahin/internal/linmodel"
 	"shahin/internal/obs"
 	"shahin/internal/perturb"
@@ -141,6 +142,9 @@ func hotpathBodies(seed int64) (map[string]func(n int), error) {
 		bodies[name] = body
 	}
 	for name, body := range exact.HotpathBenchBodies(p) {
+		bodies[name] = body
+	}
+	for name, body := range shap.HotpathBenchBodies(p) {
 		bodies[name] = body
 	}
 	return bodies, nil

@@ -39,6 +39,22 @@ func (s *Set) Set(i int) {
 	s.words[i/wordBits] |= 1 << uint(i%wordBits)
 }
 
+// Assign sets bit i to v. It panics if i is out of range. It writes the
+// bit without branching on v, so a loop storing unpredictable flags pays
+// no mispredicted branches, and it is small enough to inline.
+func (s *Set) Assign(i int, v bool) {
+	if uint(i) >= uint(s.n) {
+		panic("bitset: Assign index out of range")
+	}
+	var b uint64
+	if v {
+		b = 1
+	}
+	sh := uint(i) % wordBits
+	w := &s.words[uint(i)/wordBits]
+	*w = *w&^(1<<sh) | b<<sh
+}
+
 // Clear clears bit i. It panics if i is out of range.
 func (s *Set) Clear(i int) {
 	if i < 0 || i >= s.n {
@@ -53,6 +69,11 @@ func (s *Set) Test(i int) bool {
 		panic(fmt.Sprintf("bitset: Test(%d) out of range [0,%d)", i, s.n))
 	}
 	return s.words[i/wordBits]&(1<<uint(i%wordBits)) != 0
+}
+
+// Reset clears every bit, keeping the capacity.
+func (s *Set) Reset() {
+	clear(s.words)
 }
 
 // Count returns the number of set bits.
@@ -121,6 +142,29 @@ func (s *Set) ForEach(fn func(i int)) {
 			w &= w - 1
 		}
 	}
+}
+
+// NextSet returns the index of the first set bit at or after i, or -1
+// when there is none. Looping i = s.NextSet(i+1) from s.NextSet(0)
+// visits the set bits in ascending order without a callback.
+func (s *Set) NextSet(i int) int {
+	if i < 0 {
+		i = 0
+	}
+	if i >= s.n {
+		return -1
+	}
+	wi := i / wordBits
+	w := s.words[wi] >> uint(i%wordBits)
+	if w != 0 {
+		return i + bits.TrailingZeros64(w)
+	}
+	for wi++; wi < len(s.words); wi++ {
+		if w := s.words[wi]; w != 0 {
+			return wi*wordBits + bits.TrailingZeros64(w)
+		}
+	}
+	return -1
 }
 
 // Indices returns the indices of all set bits in ascending order.

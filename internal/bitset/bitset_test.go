@@ -39,10 +39,12 @@ func TestSetTestClear(t *testing.T) {
 func TestOutOfRangePanics(t *testing.T) {
 	s := New(10)
 	for name, fn := range map[string]func(){
-		"Set(-1)":   func() { s.Set(-1) },
-		"Set(10)":   func() { s.Set(10) },
-		"Test(10)":  func() { s.Test(10) },
-		"Clear(10)": func() { s.Clear(10) },
+		"Set(-1)":    func() { s.Set(-1) },
+		"Set(10)":    func() { s.Set(10) },
+		"Test(10)":   func() { s.Test(10) },
+		"Clear(10)":  func() { s.Clear(10) },
+		"Assign(10)": func() { s.Assign(10, false) },
+		"Assign(-1)": func() { s.Assign(-1, true) },
 	} {
 		func() {
 			defer func() {
@@ -210,5 +212,70 @@ func BenchmarkAndCount(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		AndCount(a, c)
+	}
+}
+
+// TestNextSetMatchesForEach: the NextSet loop visits exactly the bits
+// ForEach does, in the same ascending order, across word boundaries
+// and at capacities that are not multiples of 64.
+func TestNextSetMatchesForEach(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for _, n := range []int{0, 1, 63, 64, 65, 127, 128, 200} {
+		s := New(n)
+		for i := 0; i < n; i++ {
+			if rng.Intn(3) == 0 {
+				s.Set(i)
+			}
+		}
+		if n > 0 {
+			s.Set(n - 1)
+		}
+		var got []int
+		for i := s.NextSet(0); i >= 0; i = s.NextSet(i + 1) {
+			got = append(got, i)
+		}
+		want := s.Indices()
+		if len(got) != len(want) {
+			t.Fatalf("n=%d: NextSet visited %v, ForEach %v", n, got, want)
+		}
+		for k := range want {
+			if got[k] != want[k] {
+				t.Fatalf("n=%d: NextSet visited %v, ForEach %v", n, got, want)
+			}
+		}
+		if s.NextSet(n) != -1 || s.NextSet(n+70) != -1 {
+			t.Fatalf("n=%d: NextSet past capacity must be -1", n)
+		}
+	}
+}
+
+func TestReset(t *testing.T) {
+	s := New(130)
+	for _, i := range []int{0, 64, 129} {
+		s.Set(i)
+	}
+	s.Reset()
+	if s.Count() != 0 || s.Len() != 130 || s.NextSet(0) != -1 {
+		t.Fatalf("after Reset: Count=%d Len=%d NextSet(0)=%d", s.Count(), s.Len(), s.NextSet(0))
+	}
+}
+
+// TestAssign: Assign sets and clears exactly the addressed bit, across
+// word boundaries, and agrees with Set/Clear.
+func TestAssign(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	a, b := New(150), New(150)
+	for step := 0; step < 2000; step++ {
+		i := rng.Intn(150)
+		v := rng.Intn(2) == 0
+		a.Assign(i, v)
+		if v {
+			b.Set(i)
+		} else {
+			b.Clear(i)
+		}
+	}
+	if a.String() != b.String() {
+		t.Fatalf("Assign diverged from Set/Clear: %v vs %v", a, b)
 	}
 }

@@ -116,7 +116,8 @@ type Pool interface {
 	ForTuple(tupleItems []dataset.Item, max int) []perturb.Sample
 	// ForItemset returns up to max labelled samples whose rows contain
 	// all the required items (used by KernelSHAP's subset reuse and
-	// Anchor's precision bootstrap).
+	// Anchor's precision bootstrap). required is only valid for the
+	// duration of the call: explainers reuse its backing array.
 	ForItemset(required dataset.Itemset, max int) []perturb.Sample
 }
 

@@ -14,11 +14,9 @@ package shap
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"shahin/internal/dataset"
 	"shahin/internal/explain"
-	"shahin/internal/linmodel"
 	"shahin/internal/perturb"
 	"shahin/internal/rf"
 	"shahin/internal/sample"
@@ -75,6 +73,15 @@ type Explainer struct {
 	baseRate  []float64
 	haveBase  []bool
 	basePulls int64 // classifier invocations spent on base rates
+
+	// Per-explanation scratch, reused so steady-state sampling does not
+	// allocate: the coalition storage and normal equations, the dense
+	// permutation coalition draws shuffle, the frozen-attribute flags,
+	// and the required itemset handed to the pool.
+	coal     coalitions
+	perm     []int
+	freeze   []bool
+	required dataset.Itemset
 }
 
 // New builds a KernelSHAP explainer.
@@ -88,6 +95,9 @@ func New(st *dataset.Stats, cls rf.Classifier, cfg Config, rng *rand.Rand) *Expl
 		rng:      rng,
 		baseRate: make([]float64, cls.NumClasses()),
 		haveBase: make([]bool, cls.NumClasses()),
+		perm:     make([]int, m),
+		freeze:   make([]bool, m),
+		required: make(dataset.Itemset, 0, m),
 	}
 	if m >= 2 {
 		// P(|S| = s) ∝ π(m,s)·C(m,s) = (m-1)/(s(m-s)); this is the
@@ -147,68 +157,48 @@ func (e *Explainer) ExplainWithPool(t []float64, pool explain.Pool) (*explain.At
 	phi0 := e.base(target)
 	const fx = 1.0 // f(t) = 1{C(t)=target} by construction
 
-	// Coalition masks use the bin-agreement convention for discretised
-	// tabular data: mask[a] = 1 when the perturbation agrees with the
-	// tuple's bin on attribute a, whether because a was frozen or because
-	// the imputed value landed in the same bin. This makes pooled and
-	// fresh samples exchangeable.
-	masks := make([][]bool, 0, e.cfg.NumSamples)
-	ys := make([]float64, 0, e.cfg.NumSamples)
-	addSample := func(items []dataset.Item, label int) {
-		mask := make([]bool, m)
-		for a := 0; a < m; a++ {
-			mask[a] = items[a] == tItems[a]
-		}
-		masks = append(masks, mask)
-		if label == target {
-			ys = append(ys, 1)
-		} else {
-			ys = append(ys, 0)
-		}
-	}
-
 	// Algorithm 3, lines 7–8: pooled perturbations of frequent itemsets
 	// the tuple contains fill the budget first, already labelled.
+	var pooled []perturb.Sample
 	if pool != nil {
 		maxReuse := int(e.cfg.MaxReuse * float64(e.cfg.NumSamples))
-		for _, s := range pool.ForTuple(tItems, maxReuse) {
-			addSample(s.Items, s.Label)
-		}
+		pooled = pool.ForTuple(tItems, maxReuse)
+	}
+	c := &e.coal
+	c.reset(m, max(e.cfg.NumSamples, len(pooled)))
+	for _, s := range pooled {
+		c.add(tItems, s.Items, s.Label == target)
 	}
 
 	// Remaining budget: sample coalition sizes by SHAP-kernel mass, and
 	// before paying a classifier call check whether the coalition is a
 	// superset of a pooled itemset with a matching cached perturbation
 	// (Algorithm 3, lines 9–13).
-	freeze := make([]bool, m)
-	for len(masks) < e.cfg.NumSamples {
+	for c.n < e.cfg.NumSamples {
 		size := 1 + e.sizeSampler.Draw(e.rng)
-		attrs := sample.UniformIndices(e.rng, m, size)
-		sort.Ints(attrs)
-		for a := range freeze {
-			freeze[a] = false
-		}
-		required := make(dataset.Itemset, 0, size)
-		for _, a := range attrs {
-			freeze[a] = true
-			required = append(required, tItems[a])
+		drawSubset(e.rng, e.perm, e.freeze, size)
+		e.required = e.required[:0]
+		for a, frozen := range e.freeze {
+			if frozen {
+				e.required = append(e.required, tItems[a])
+			}
 		}
 
 		if pool != nil {
-			if got := pool.ForItemset(required, 1); len(got) == 1 {
-				addSample(got[0].Items, got[0].Label)
+			if got := pool.ForItemset(e.required, 1); len(got) == 1 {
+				c.add(tItems, got[0].Items, got[0].Label == target)
 				continue
 			}
 		}
-		s := e.gen.ForTuple(t, freeze)
+		s := e.gen.ForTuple(t, e.freeze)
 		s.Label = e.cls.Predict(s.Row)
 		if obs, ok := pool.(explain.Observer); ok {
 			obs.Observe(s)
 		}
-		addSample(s.Items, s.Label)
+		c.add(tItems, s.Items, s.Label == target)
 	}
 
-	phi, err := solveConstrained(masks, ys, phi0, fx, e.cfg.Ridge)
+	phi, err := c.solve(phi0, fx, e.cfg.Ridge)
 	if err != nil {
 		return nil, fmt.Errorf("shap: %w", err)
 	}
@@ -237,66 +227,3 @@ func (e *Explainer) base(class int) float64 {
 // BaseInvocations reports the classifier calls spent estimating base
 // rates (for overhead accounting).
 func (e *Explainer) BaseInvocations() int64 { return e.basePulls }
-
-// solveConstrained solves the KernelSHAP regression
-//
-//	y_i ≈ φ0 + Σ_j φ_j z_ij   subject to   Σ_j φ_j = fx − φ0
-//
-// with unit sample weights (the kernel is folded into the coalition
-// sampling distribution). The constraint is enforced by eliminating the
-// last feature, leaving an (m−1)-dimensional ordinary least squares that
-// is solved via Cholesky with a tiny ridge.
-func solveConstrained(masks [][]bool, ys []float64, phi0, fx, ridge float64) ([]float64, error) {
-	if len(masks) == 0 {
-		return nil, fmt.Errorf("no coalition samples")
-	}
-	m := len(masks[0])
-	p := m - 1
-	A := linmodel.NewSym(p)
-	bvec := make([]float64, p)
-	feat := make([]float64, p)
-	for i, mask := range masks {
-		zm := 0.0
-		if mask[m-1] {
-			zm = 1
-		}
-		for j := 0; j < p; j++ {
-			zj := 0.0
-			if mask[j] {
-				zj = 1
-			}
-			feat[j] = zj - zm
-		}
-		target := ys[i] - phi0 - zm*(fx-phi0)
-		for j := 0; j < p; j++ {
-			if feat[j] == 0 {
-				continue
-			}
-			bvec[j] += feat[j] * target
-			for k := 0; k <= j; k++ {
-				if feat[k] != 0 {
-					A.Add(j, k, feat[j]*feat[k])
-				}
-			}
-		}
-	}
-	scale := A.MaxDiag()
-	if scale == 0 {
-		scale = 1
-	}
-	for j := 0; j < p; j++ {
-		A.Add(j, j, ridge*scale)
-	}
-	head, err := A.Solve(bvec)
-	if err != nil {
-		return nil, err
-	}
-	phi := make([]float64, m)
-	copy(phi, head)
-	last := fx - phi0
-	for _, v := range head {
-		last -= v
-	}
-	phi[m-1] = last
-	return phi, nil
-}

@@ -1,14 +1,18 @@
 package shap
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"shahin/internal/datagen"
 	"shahin/internal/dataset"
+	"shahin/internal/linmodel"
 	"shahin/internal/perturb"
 	"shahin/internal/rf"
+	"shahin/internal/sample"
 )
 
 func env(t *testing.T, seed int64) *dataset.Stats {
@@ -236,6 +240,260 @@ func BenchmarkExplainSequential(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := e.Explain(tup); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// referenceSolve is the per-sample KernelSHAP solver the bit-packed
+// kernel replaced, kept verbatim as the differential oracle: one []bool
+// mask per sample, the Gram matrix and right-hand side accumulated one
+// ±1 product at a time, then the same ridge, Cholesky and efficiency
+// constraint.
+func referenceSolve(masks [][]bool, ys []float64, phi0, fx, ridge float64) ([]float64, error) {
+	if len(masks) == 0 {
+		return nil, fmt.Errorf("no coalition samples")
+	}
+	m := len(masks[0])
+	p := m - 1
+	A := linmodel.NewSym(p)
+	bvec := make([]float64, p)
+	feat := make([]float64, p)
+	for i, mask := range masks {
+		zm := 0.0
+		if mask[m-1] {
+			zm = 1
+		}
+		for j := 0; j < p; j++ {
+			zj := 0.0
+			if mask[j] {
+				zj = 1
+			}
+			feat[j] = zj - zm
+		}
+		target := ys[i] - phi0 - zm*(fx-phi0)
+		for j := 0; j < p; j++ {
+			if feat[j] == 0 {
+				continue
+			}
+			bvec[j] += feat[j] * target
+			for k := 0; k <= j; k++ {
+				if feat[k] != 0 {
+					A.Add(j, k, feat[j]*feat[k])
+				}
+			}
+		}
+	}
+	scale := A.MaxDiag()
+	if scale == 0 {
+		scale = 1
+	}
+	for j := 0; j < p; j++ {
+		A.Add(j, j, ridge*scale)
+	}
+	head, err := A.Solve(bvec)
+	if err != nil {
+		return nil, err
+	}
+	phi := make([]float64, m)
+	copy(phi, head)
+	last := fx - phi0
+	for _, v := range head {
+		last -= v
+	}
+	phi[m-1] = last
+	return phi, nil
+}
+
+// fillCoalitions loads masks and labels into c through the production
+// add path: the tuple's items are all zero and a sample disagrees on
+// attribute a by carrying item 1 there.
+func fillCoalitions(c *coalitions, masks [][]bool, ys []float64) {
+	m := len(masks[0])
+	tItems := make([]dataset.Item, m)
+	items := make([]dataset.Item, m)
+	c.reset(m, len(masks))
+	for i, mask := range masks {
+		for a, in := range mask {
+			items[a] = 0
+			if !in {
+				items[a] = 1
+			}
+		}
+		c.add(tItems, items, ys[i] == 1)
+	}
+}
+
+// checkAgainstReference asserts the bit-packed solve returns the
+// reference solver's phi bit for bit, or fails exactly when it does.
+func checkAgainstReference(t *testing.T, c *coalitions, masks [][]bool, ys []float64, phi0 float64) {
+	t.Helper()
+	const fx, ridge = 1.0, 1e-6
+	want, werr := referenceSolve(masks, ys, phi0, fx, ridge)
+	fillCoalitions(c, masks, ys)
+	got, gerr := c.solve(phi0, fx, ridge)
+	if (werr == nil) != (gerr == nil) {
+		t.Fatalf("error mismatch: reference %v, packed %v", werr, gerr)
+	}
+	if werr != nil {
+		return
+	}
+	if len(got) != len(want) {
+		t.Fatalf("phi has %d entries want %d", len(got), len(want))
+	}
+	for j := range want {
+		if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+			t.Fatalf("phi[%d] = %v (%#x) want %v (%#x)", j, got[j], math.Float64bits(got[j]), want[j], math.Float64bits(want[j]))
+		}
+	}
+}
+
+// TestPackedSolveMatchesReference: on random coalitions the popcount
+// Gram build returns the per-sample solver's phi bit for bit, across
+// sample counts on and off word boundaries, all-zero and all-one
+// columns (the eliminated last column included), m = 2 and m > 64. One
+// coalitions value serves every case, so reuse across shapes and the
+// same-shape reset are exercised too.
+func TestPackedSolveMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	c := &coalitions{}
+	for _, tc := range []struct{ m, n int }{
+		{2, 1}, {2, 2}, {2, 63}, {2, 64}, {2, 65},
+		{3, 127}, {5, 128}, {8, 129},
+		{42, 200}, {42, 256}, {42, 256},
+		{65, 300}, {70, 130}, {100, 321},
+	} {
+		for _, density := range []float64{0.5, 0.1, 0.9} {
+			masks := make([][]bool, tc.n)
+			ys := make([]float64, tc.n)
+			for i := range masks {
+				masks[i] = make([]bool, tc.m)
+				for a := range masks[i] {
+					masks[i][a] = rng.Float64() < density
+				}
+				if rng.Intn(2) == 0 {
+					ys[i] = 1
+				}
+			}
+			// Force constant columns: attribute 0 all-zero, the middle
+			// attribute all-one, and on odd n the eliminated last
+			// column constant too.
+			for i := range masks {
+				masks[i][0] = false
+				masks[i][tc.m/2] = true
+				if tc.n%2 == 1 {
+					masks[i][tc.m-1] = tc.n%4 == 1
+				}
+			}
+			phi0 := rng.Float64()
+			t.Run(fmt.Sprintf("m%d_n%d_d%.1f", tc.m, tc.n, density), func(t *testing.T) {
+				checkAgainstReference(t, c, masks, ys, phi0)
+			})
+		}
+	}
+}
+
+// FuzzSolveConstrained drives the differential check from arbitrary
+// bytes: m in [2, 80], n in [1, 300], mask and label bits read
+// cyclically from data (empty data is the all-disagree coalition set).
+func FuzzSolveConstrained(f *testing.F) {
+	f.Add(uint8(0), uint16(0), uint16(0), []byte{})
+	f.Add(uint8(40), uint16(255), uint16(20000), []byte{0x5a, 0xc3, 0x0f})
+	f.Add(uint8(68), uint16(64), uint16(65535), []byte{0xff})
+	f.Add(uint8(3), uint16(129), uint16(1), []byte{0x00, 0xff, 0x81})
+	c := &coalitions{}
+	f.Fuzz(func(t *testing.T, mRaw uint8, nRaw, phiRaw uint16, data []byte) {
+		m := 2 + int(mRaw)%79
+		n := 1 + int(nRaw)%300
+		bit := func(k int) bool {
+			if len(data) == 0 {
+				return false
+			}
+			return data[(k/8)%len(data)]>>(k%8)&1 == 1
+		}
+		masks := make([][]bool, n)
+		ys := make([]float64, n)
+		for i := range masks {
+			masks[i] = make([]bool, m)
+			for a := range masks[i] {
+				masks[i][a] = bit(i*(m+1) + a)
+			}
+			if bit(i*(m+1) + m) {
+				ys[i] = 1
+			}
+		}
+		checkAgainstReference(t, c, masks, ys, float64(phiRaw)/65535)
+	})
+}
+
+// TestDrawSubsetMatchesUniformIndices: for the same seed the dense
+// partial Fisher–Yates marks exactly the sorted index set
+// sample.UniformIndices + sort.Ints returns, and leaves the generator in
+// the same state, over every coalition size 1..m-1 and across repeated
+// draws sharing the scratch permutation.
+func TestDrawSubsetMatchesUniformIndices(t *testing.T) {
+	for _, m := range []int{2, 3, 7, 42, 100} {
+		perm := make([]int, m)
+		freeze := make([]bool, m)
+		for seed := int64(1); seed <= 5; seed++ {
+			ra := rand.New(rand.NewSource(seed))
+			rb := rand.New(rand.NewSource(seed))
+			for size := 1; size < m; size++ {
+				want := sample.UniformIndices(ra, m, size)
+				sort.Ints(want)
+				drawSubset(rb, perm, freeze, size)
+				var got []int
+				for a, f := range freeze {
+					if f {
+						got = append(got, a)
+					}
+				}
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("m=%d seed=%d size=%d: drew %v want %v", m, seed, size, got, want)
+				}
+			}
+			if a, b := ra.Int63(), rb.Int63(); a != b {
+				t.Fatalf("m=%d seed=%d: generator states diverged (%d vs %d)", m, seed, a, b)
+			}
+		}
+	}
+}
+
+// BenchmarkExplainWithPoolCensus measures one KernelSHAP explanation at
+// the batch workloads' budget (256 coalitions) on the census twin with
+// a small forest, the pool stocked for the tuple's first attribute.
+func BenchmarkExplainWithPoolCensus(b *testing.B) {
+	spec, err := datagen.Spec("census")
+	if err != nil {
+		b.Fatal(err)
+	}
+	d, err := spec.Generate(2000, 16)
+	if err != nil {
+		b.Fatal(err)
+	}
+	st, err := dataset.Compute(d)
+	if err != nil {
+		b.Fatal(err)
+	}
+	forest, err := rf.Train(d, rf.Config{NumTrees: 10, MaxDepth: 8, Seed: 17})
+	if err != nil {
+		b.Fatal(err)
+	}
+	tup := d.Rows(0, 1)[0]
+	frozen := dataset.Itemset{st.ItemizeRow(tup, nil)[0]}
+	gen := perturb.NewGenerator(st, rand.New(rand.NewSource(18)))
+	samples := make([]perturb.Sample, 256)
+	for i := range samples {
+		s := gen.ForItemset(frozen)
+		s.Label = forest.Predict(s.Row)
+		samples[i] = s
+	}
+	pool := &subsetPool{st: st, cls: forest, stock: [][]perturb.Sample{samples}}
+	e := New(st, forest, Config{NumSamples: 256, BaseSamples: 50}, rand.New(rand.NewSource(19)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.ExplainWithPool(tup, pool); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -27,7 +27,9 @@ func FuzzMine(f *testing.F) {
 			}
 			txs[i] = row
 		}
-		minSup := 0.05 + float64(seed%90)/100
+		// Non-negative modulo: a negative seed must still map into
+		// (0,1], never to an invalid MinSupport.
+		minSup := 0.05 + float64((seed%90+90)%90)/100
 		res, err := Mine(txs, Config{MinSupport: minSup, MaxLen: 3, WithBorder: border})
 		if err != nil {
 			t.Fatal(err)

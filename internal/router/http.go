@@ -120,7 +120,7 @@ func (rt *Router) handleExplain(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	tc := rt.requestTrace(r, w)
-	resp, code := rt.explainOne(r, req.Tuple, tc)
+	resp, code := rt.explainOne(r, req.Tuple, req.Explainer, tc)
 	if code == http.StatusServiceUnavailable || code == http.StatusTooManyRequests {
 		w.Header().Set("Retry-After", "1")
 	}
@@ -129,14 +129,16 @@ func (rt *Router) handleExplain(w http.ResponseWriter, r *http.Request) {
 
 // explainOne routes one tuple and maps the outcome to a response and
 // status code. It never hangs and never drops: the worst case is a 503
-// with a JSON body saying every replica failed.
-func (rt *Router) explainOne(r *http.Request, tuple []float64, tc obs.TraceContext) (any, int) {
+// with a JSON body saying every replica failed. explainer is the
+// request's optional explainer field, forwarded to the replica as is;
+// empty leaves it out of the forwarded body.
+func (rt *Router) explainOne(r *http.Request, tuple []float64, explainer string, tc obs.TraceContext) (any, int) {
 	var items []dataset.Item
 	seq := rt.route(tuple, items, nil)
 	preferred := seq[0]
 	ordered := rt.orderByHealth(seq, make([]int, 0, len(seq)))
 
-	body, err := json.Marshal(serve.ExplainRequest{Tuple: tuple})
+	body, err := json.Marshal(serve.ExplainRequest{Tuple: tuple, Explainer: explainer})
 	if err != nil {
 		return errorResponse{Error: err.Error()}, http.StatusInternalServerError
 	}
@@ -199,7 +201,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			out, code := rt.explainOne(r, tuple, itc)
+			out, code := rt.explainOne(r, tuple, req.Explainer, itc)
 			codes[i] = code
 			if er, ok := out.(ExplainResponse); ok {
 				resp.Explanations[i] = er

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -106,6 +107,7 @@ type fakeReplica struct {
 	calls   atomic.Int64
 	failing atomic.Bool
 	lastTP  atomic.Value // last traceparent header seen
+	body    atomic.Value // last forwarded request body, as a string
 }
 
 func newFakeReplica(t *testing.T, name string) *fakeReplica {
@@ -126,6 +128,9 @@ func newFakeReplica(t *testing.T, name string) *fakeReplica {
 		}
 		f.calls.Add(1)
 		f.lastTP.Store(r.Header.Get("traceparent"))
+		if b, err := io.ReadAll(r.Body); err == nil {
+			f.body.Store(string(b))
+		}
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(serve.ExplainResponse{Status: "ok", Source: name}) //shahinvet:allow errcheck — test fixture write
 	})
